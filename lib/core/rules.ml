@@ -94,7 +94,7 @@ let rec apply_once rule prog =
       in
       if !rewritten then Some prog' else None
 
-let apply_fixpoint ?(max_steps = 32) ?cost ?applied rules prog =
+let apply_fixpoint ?(max_steps = 32) ?cost rules prog =
   let cost =
     match cost with
     | Some f -> f
@@ -122,7 +122,6 @@ let apply_fixpoint ?(max_steps = 32) ?cost ?applied rules prog =
       match step prog with
       | None -> ()
       | Some p ->
-          (match applied with Some r -> incr r | None -> ());
           let c = cost p in
           if c < !best_cost then begin
             best := p;

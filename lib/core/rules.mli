@@ -43,19 +43,19 @@ val apply_once : t -> Dsl.Ast.t -> Dsl.Ast.t option
 val apply_fixpoint :
   ?max_steps:int ->
   ?cost:(Dsl.Ast.t -> float) ->
-  ?applied:int ref ->
   t list ->
   Dsl.Ast.t ->
   Dsl.Ast.t
-(** Apply a mined rule set repeatedly (first applicable rule, outermost
+(** Apply a rule set greedily (first applicable rule, outermost
     position) until no rule fires, a program repeats (inverse rule
     pairs cycle — the walk stops on the first revisit), or [max_steps]
-    (default 32) is reached — a miniature rule-based optimizer built
+    (default 32) is reached: a miniature rule-based optimizer built
     from STENSO discoveries, the integration path Section VII-D
-    proposes.  Returns the cheapest program seen under [cost] (default:
-    AST size), which is the input itself when no rewrite improves on
-    it.  [applied], when given, accumulates the number of rewrite steps
-    taken. *)
+    proposes for rule-based compilers.  Returns the cheapest program
+    seen under [cost] (default: AST size), which is the input itself
+    when no rewrite improves on it.  Tiered serving does not use it:
+    tier 2 rewrites with e-graph saturation ({!Egraph}), which never
+    did worse than this walk on the bundled benchmarks. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -97,10 +97,10 @@ val optimize :
        A stale or undecodable entry is invalidated.}
     {- {b Tier 2 — mined rules} (only when the configuration sets
        {!Config.with_rules_depth} and the store holds a {!Rules_db}
-       entry for this environment).  Candidates come from
-       {!Rules.apply_fixpoint} over the mined rules, e-graph equality
-       saturation with cheapest extraction ({!Egraph}), and the
-       database's optima table for this very spec.  The cheapest
+       entry for this environment).  Two candidate sources: e-graph
+       equality saturation with the mined rules and cheapest
+       extraction ({!Egraph}), and the database's optima table for
+       this very spec.  The cheapest
        candidate that passes full re-verification
        ({!robust_equivalent} + {!validate_concrete}) is served — and
        recorded to the outcome store — iff it is {e certified}: it
@@ -119,7 +119,8 @@ val optimize :
        the outcome store.}}
 
     Per-tier telemetry: [tier.hit], [tier1.hits]/[tier2.hits]/
-    [tier3.hits], [tier.rules_applied], [tier.saturation_ms], and one
+    [tier3.hits], [tier.rules_applied] (saturation rewrites),
+    [tier.saturation_ms], and one
     [tier.serve] event per answer.
 
     [spec], when the caller already symbolically executed the program

@@ -133,11 +133,7 @@ let test_fixpoint_pingpong () =
   (* a growing rule walks away from the input; cheapest-seen wins *)
   let grow = Rules.generalize (p "np.sqrt(A)") (p "np.sqrt(np.sqrt(A))") in
   Alcotest.check ast "cheapest seen returned" (p "np.sqrt(P)")
-    (Rules.apply_fixpoint [ grow ] (p "np.sqrt(P)"));
-  (* the applied counter reports rewrite steps *)
-  let applied = ref 0 in
-  ignore (Rules.apply_fixpoint ~applied [ comm ] (p "P + Q"));
-  Alcotest.(check bool) "steps counted" true (!applied >= 1)
+    (Rules.apply_fixpoint [ grow ] (p "np.sqrt(P)"))
 
 let test_classifier () =
   let check name orig opt expected =
