@@ -35,6 +35,18 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
+(* [--trace FILE]: a recording sink while tracing, and writing it out. *)
+let trace_sink trace =
+  if Option.is_some trace then Stenso.Telemetry.create ()
+  else Stenso.Telemetry.null
+
+let write_trace tel =
+  Option.iter (fun path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> Stenso.Telemetry.write_ndjson tel oc))
+
 (* Emit the same surface syntax the parser accepts, so outputs can be
    fed back in — the same rendering the persistent store serves, so
    cached and fresh runs are byte-identical. *)
@@ -51,8 +63,9 @@ let engine_of engine =
   | Ok e -> e
   | Error msg -> die "%s" msg
 
-let config_of ?(rules_depth = 0) ~estimator ~engine ~exec ~timeout ~jobs
-    ~no_bnb ~no_simplification ~extended_ops ~cost_cache () =
+let config_of ?(rules_depth = 0) ?(no_bnb = false)
+    ?(no_simplification = false) ?(extended_ops = false) ~estimator ~engine
+    ~exec ~timeout ~jobs ~cost_cache () =
   let estimator =
     match Stenso.Config.estimator_of_string estimator with
     | Ok e -> e
@@ -90,20 +103,10 @@ let optimize_run program_path synth_out estimator engine exec timeout jobs
     config_of ~rules_depth ~estimator ~engine ~exec ~timeout ~jobs ~no_bnb
       ~no_simplification ~extended_ops ~cost_cache ()
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
+  let tel = trace_sink trace in
   let store = if no_store then None else Some (open_store ~tel store_dir) in
   let outcome = Stenso.Superopt.optimize ~tel ~config ?store ~env prog in
-  (match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ());
+  write_trace tel trace;
   if verbose then begin
     if outcome.from_cache then
       Format.printf "# served from the persistent store (tier 1 cache hit)@\n"
@@ -187,23 +190,15 @@ let tiers_run ~config ~benches ~jobs ~store_dir ~quiet path =
   let cold = pass "tiered, cold" config store in
   let warm = pass "tiered, warm" config store in
   let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
-  (match Suite.Driver.validate_tiers_report doc with
-  | Ok () -> ()
-  | Error msg -> die "generated tiers report is invalid: %s" msg);
   write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
   if not quiet then begin
-    let count (t : Suite.Driver.t) tier =
-      List.length
-        (List.filter
-           (fun (r : Suite.Driver.bench_result) ->
-             r.outcome.Stenso.Superopt.tier = tier)
-           t.results)
-    in
+    let count k = Suite.Schema.get_int k doc in
     Printf.printf
       "cold: %d tier-1, %d tier-2, %d tier-3 (%.1fs); warm: %d/%d \
        without search (%.1fs); baseline %.1fs\n"
-      (count cold 1) (count cold 2) (count cold 3) cold.elapsed
-      (count warm 1 + count warm 2)
+      (count "cold.tier1") (count "cold.tier2") (count "cold.tier3")
+      cold.elapsed
+      (count "warm.tier1" + count "warm.tier2")
       (List.length warm.results)
       warm.elapsed baseline.elapsed;
     Printf.printf "wrote tiers report to %s\n" path
@@ -225,7 +220,6 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
     let benches = select_benchmarks names in
     let config =
       config_of ~rules_depth ~estimator ~engine ~exec ~timeout ~jobs
-        ~no_bnb:false ~no_simplification:false ~extended_ops:false
         ~cost_cache ()
     in
     match tiers_report with
@@ -304,8 +298,7 @@ let mine_run names depth jobs estimator cost_cache store_dir quiet =
   let benches = select_benchmarks names in
   let config =
     config_of ~estimator ~engine:"vm" ~exec:Stenso.Exec.Options.default
-      ~timeout:600. ~jobs:1 ~no_bnb:false ~no_simplification:false
-      ~extended_ops:false ~cost_cache ()
+      ~timeout:600. ~jobs:1 ~cost_cache ()
   in
   let model = Stenso.Config.model config in
   let store = open_store ~tel:Stenso.Telemetry.null store_dir in
@@ -349,11 +342,7 @@ let run_run program_path engine exec seed trace verbose =
   in
   ignore (Dsl.Types.infer env prog);
   let engine = engine_of engine in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
+  let tel = trace_sink trace in
   let st = Random.State.make [| seed |] in
   let inputs = Dsl.Interp.random_inputs st env in
   let lookup n = List.assoc n inputs in
@@ -384,13 +373,7 @@ let run_run program_path engine exec seed trace verbose =
           (Stenso.Exec.Options.fingerprint exec)
   end;
   Format.printf "%a@." Tensor.Ftensor.pp result;
-  match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ()
+  write_trace tel trace
 
 (* ------------------------------------------------------------------ *)
 (* stenso lift                                                         *)
@@ -406,20 +389,14 @@ let zero_lift_stats =
     verify_s = 0.;
   }
 
-let lift_entry_of name ~lifted ~program ~optimized ~improved
-    (s : Stenso.Lift.stats) =
+let lift_entry_of name ~lifted ~program ~optimized ~improved lift_stats =
   {
     Suite.Driver.lift_name = name;
     lifted;
     lifted_program = program;
     optimized_program = optimized;
     lift_improved = improved;
-    sketches = s.sketches;
-    pruned_by_value = s.pruned_by_value;
-    certified = s.certified;
-    library_size = s.library_size;
-    lift_s = s.lift_s;
-    lift_verify_s = s.verify_s;
+    lift_stats;
     lift_speedup = None;
   }
 
@@ -456,14 +433,9 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
       die "--synth-out applies to a single kernel"
   | _ -> ());
   let config =
-    config_of ~estimator ~engine ~exec ~timeout ~jobs ~no_bnb:false
-      ~no_simplification:false ~extended_ops:false ~cost_cache ()
+    config_of ~estimator ~engine ~exec ~timeout ~jobs ~cost_cache ()
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
+  let tel = trace_sink trace in
   let store = if no_store then None else Some (open_store ~tel store_dir) in
   let stub_cache = Stenso.Stub.Cache.create () in
   let t0 = Unix.gettimeofday () in
@@ -529,19 +501,10 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
           ~elapsed:(Unix.gettimeofday () -. t0)
           entries
       in
-      (match Suite.Driver.validate_lift_report doc with
-      | Ok () -> ()
-      | Error msg -> die "generated lift report is invalid: %s" msg);
       write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
       if not quiet then Printf.printf "# wrote lift report to %s\n" path
   | None -> ());
-  (match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ());
+  write_trace tel trace;
   if failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -595,162 +558,16 @@ let profile_run names cost_cache extended_ops =
 (* ------------------------------------------------------------------ *)
 
 let report_run file min_speedup min_success =
-  (* Validate an archived report: parse, dispatch on the schema field,
-     check structure (and, for exec-bench documents, the optional
-     performance floor), print a one-line summary.  CI runs this on
-     freshly generated reports so the BENCH_*.json trajectory keeps a
-     stable shape. *)
-  let contents = read_file file in
-  match Stenso.Telemetry.Json.of_string contents with
+  (* Validate a report against the format its [schema] field names
+     ({!Suite.Driver.check_report}) and print its one-line summary.  CI
+     runs this on every archived and freshly generated report so the
+     BENCH_*.json trajectory keeps a stable shape. *)
+  match Stenso.Telemetry.Json.of_string (read_file file) with
   | Error msg -> die "%s: invalid JSON: %s" file msg
-  | Ok doc ->
-      let module J = Stenso.Telemetry.Json in
-      let int name =
-        Option.value ~default:0 (Option.bind (J.member name doc) J.to_int_opt)
-      in
-      let str name =
-        Option.value ~default:"?"
-          (Option.bind (J.member name doc) J.to_string_opt)
-      in
-      let float name =
-        Option.value ~default:Float.nan
-          (Option.bind (J.member name doc) J.to_float_opt)
-      in
-      let schema = str "schema" in
-      (match min_success with
-      | Some _
-        when not (String.equal schema Suite.Driver.lift_schema_version) ->
-          die "%s: --min-success only applies to %s reports" file
-            Suite.Driver.lift_schema_version
-      | _ -> ());
-      if String.equal schema Suite.Driver.lift_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
-        match Suite.Driver.validate_lift_report ?min_success doc with
-        | Error msg -> die "%s: invalid lift report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%d kernels, %d lifted, %.0f%% success%s)\n" file
-              schema (int "n_kernels") (int "n_lifted")
-              (100. *. float "success_rate")
-              (match min_success with
-              | None -> ""
-              | Some m -> Printf.sprintf ", at least %.0f%% required" (100. *. m)))
-      else if String.equal schema Suite.Driver.exec_bench_schema_version then (
-        match Suite.Driver.validate_exec_bench ?min_speedup doc with
-        | Error msg -> die "%s: invalid exec-bench report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%d benchmarks, %.2fx geomean, options %s%s)\n"
-              file schema (int "n_benchmarks")
-              (float "geomean_speedup")
-              (str "options")
-              (match min_speedup with
-              | None -> ""
-              | Some m -> Printf.sprintf ", all above %.2fx" m))
-      else if String.equal schema Suite.Driver.tiers_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
-        match Suite.Driver.validate_tiers_report doc with
-        | Error msg -> die "%s: invalid tiers report: %s" file msg
-        | Ok () ->
-            let pass name =
-              match J.member name doc with
-              | Some p ->
-                  let i f =
-                    Option.value ~default:0
-                      (Option.bind (J.member f p) J.to_int_opt)
-                  in
-                  let frac =
-                    Option.value ~default:Float.nan
-                      (Option.bind (J.member "tier12_fraction" p)
-                         J.to_float_opt)
-                  in
-                  Printf.sprintf "%s %d/%d/%d (%.0f%% without search)" name
-                    (i "tier1") (i "tier2") (i "tier3") (100. *. frac)
-              | None -> name ^ " ?"
-            in
-            Printf.printf
-              "%s: valid %s (%s estimator, depth %d, %d benchmarks; %s; \
-               %s; %.1fx warm speedup, %d cost mismatches)\n"
-              file schema (str "estimator") (int "rules_depth")
-              (int "n_benchmarks") (pass "cold") (pass "warm")
-              (float "warm_speedup")
-              (int "n_cost_mismatches"))
-      else if String.equal schema Suite.Driver.mlsuite_schema_version then (
-        match Suite.Driver.validate_mlsuite ?min_speedup doc with
-        | Error msg -> die "%s: invalid mlsuite report: %s" file msg
-        | Ok () ->
-            let sub name field =
-              match J.member name doc with
-              | Some d ->
-                  Option.value ~default:Float.nan
-                    (Option.bind (J.member field d) J.to_float_opt)
-              | None -> Float.nan
-            in
-            let subi name field =
-              match J.member name doc with
-              | Some d ->
-                  Option.value ~default:0
-                    (Option.bind (J.member field d) J.to_int_opt)
-              | None -> 0
-            in
-            Printf.printf
-              "%s: valid %s (%d kernels, %.2fx VM geomean; tiers: %.1fx \
-               warm speedup, %d cost mismatches%s)\n"
-              file schema
-              (subi "exec" "n_benchmarks")
-              (sub "exec" "geomean_speedup")
-              (sub "tiers" "warm_speedup")
-              (subi "tiers" "n_cost_mismatches")
-              (match min_speedup with
-              | None -> ""
-              | Some m -> Printf.sprintf "; all above %.2fx" m))
-      else if String.equal schema Suite.Driver.serve_load_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
-        match Suite.Driver.validate_serve_load doc with
-        | Error msg -> die "%s: invalid serve-load report: %s" file msg
-        | Ok () ->
-            let lat name =
-              match J.member "latency" doc with
-              | Some l ->
-                  Option.value ~default:Float.nan
-                    (Option.bind (J.member name l) J.to_float_opt)
-              | None -> Float.nan
-            in
-            Printf.printf
-              "%s: valid %s (%d connections, %d requests, %.0f req/s; p50 \
-               %.2f ms, p95 %.2f, p99 %.2f; %d coalesced, %d refined, %d \
-               busy, %d protocol errors)\n"
-              file schema (int "concurrency") (int "n_requests")
-              (float "throughput_rps")
-              (1000. *. lat "p50")
-              (1000. *. lat "p95")
-              (1000. *. lat "p99")
-              (int "n_coalesced") (int "n_refined") (int "n_busy")
-              (int "n_protocol_errors"))
-      else (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
-        match Suite.Driver.validate_report doc with
-        | Error msg -> die "%s: invalid suite report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%s estimator, %d benchmarks, %d improved)\n" file
-              schema (str "estimator") (int "n_benchmarks") (int "n_improved"))
+  | Ok doc -> (
+      match Suite.Driver.check_report ?min_speedup ?min_success doc with
+      | Ok summary -> Printf.printf "%s: %s\n" file summary
+      | Error msg -> die "%s: %s" file msg)
 
 (* ------------------------------------------------------------------ *)
 (* stenso serve / stenso request                                       *)
@@ -778,11 +595,7 @@ let serve_run socket tcp workers queue_capacity max_conns read_deadline
     config_of ~rules_depth ~estimator ~engine:"vm" ~exec ~timeout ~jobs:1
       ~no_bnb ~no_simplification ~extended_ops ~cost_cache ()
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
+  let tel = trace_sink trace in
   let store = if no_store then None else Some (open_store ~tel store_dir) in
   let listeners =
     (if String.equal socket "" then []
@@ -808,13 +621,7 @@ let serve_run socket tcp workers queue_capacity max_conns read_deadline
             (Stenso.Net.Endpoint.to_string e))
         eps)
     ~base:config ~listeners ();
-  match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ()
+  write_trace tel trace
 
 (* Exit codes: 0 ok, 1 protocol [ok:false] or transport failure, 75
    (EX_TEMPFAIL) when every replica shed the request even after jittered
@@ -918,8 +725,7 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
       stats.n_transport_errors;
   let config =
     config_of ~estimator ~engine:"vm" ~exec:Stenso.Exec.Options.default
-      ~timeout:600. ~jobs:1 ~no_bnb:false ~no_simplification:false
-      ~extended_ops:false ~cost_cache:None ()
+      ~timeout:600. ~jobs:1 ~cost_cache:None ()
   in
   let doc =
     Suite.Driver.serve_load_report ~config
@@ -928,35 +734,22 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
       ~benchmarks:(List.map (fun (b : Suite.Benchmarks.t) -> b.name) benches)
       stats
   in
-  (match Suite.Driver.validate_serve_load doc with
-  | Ok () -> ()
-  | Error msg -> die "generated serve-load report is invalid: %s" msg);
   (match report with
   | Some path ->
       write_file path (J.to_string doc ^ "\n");
       if not quiet then Printf.printf "wrote serve-load report to %s\n" path
   | None -> print_endline (J.to_string doc));
   if not quiet then begin
-    let int name =
-      Option.value ~default:0 (Option.bind (J.member name doc) J.to_int_opt)
-    in
-    let float name =
-      Option.value ~default:Float.nan
-        (Option.bind (J.member name doc) J.to_float_opt)
-    in
-    let lat name =
-      match J.member "latency" doc with
-      | Some l ->
-          Option.value ~default:Float.nan
-            (Option.bind (J.member name l) J.to_float_opt)
-      | None -> Float.nan
-    in
+    let int k = Suite.Schema.get_int k doc in
+    let float k = Suite.Schema.get_float k doc in
     Printf.printf
       "# %d requests in %.1fs: %.0f req/s; p50 %.2f ms, p95 %.2f, p99 \
        %.2f; %d coalesced, %d refined, %d busy, %d protocol errors, %d \
        transport errors\n"
       (int "n_requests") (float "elapsed") (float "throughput_rps")
-      (1000. *. lat "p50") (1000. *. lat "p95") (1000. *. lat "p99")
+      (1000. *. float "latency.p50")
+      (1000. *. float "latency.p95")
+      (1000. *. float "latency.p99")
       (int "n_coalesced") (int "n_refined") (int "n_busy")
       (int "n_protocol_errors")
       (int "n_transport_errors")
@@ -1391,15 +1184,21 @@ let report_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Report to validate.")
   in
+  let bold ids = List.map (Printf.sprintf "$(b,%s)") ids in
+  let for_schemas gate =
+    String.concat " and " (bold (Suite.Driver.schemas_accepting gate))
+  in
   let min_speedup_arg =
     Arg.(
       value
       & opt (some float) None
       & info [ "min-speedup" ] ~docv:"X"
           ~doc:
-            "For $(b,stenso.exec-bench/1) reports: fail unless every \
-             benchmark's VM speedup is at least $(docv) and every \
-             reduction-rooted benchmark fused at least one op.")
+            (Printf.sprintf
+               "For %s reports: fail unless every benchmark's VM speedup \
+                is at least $(docv) and every reduction-rooted benchmark \
+                fused at least one op."
+               (for_schemas Suite.Schema.Min_speedup)))
   in
   let min_success_arg =
     Arg.(
@@ -1407,15 +1206,18 @@ let report_cmd =
       & opt (some float) None
       & info [ "min-success" ] ~docv:"RATE"
           ~doc:
-            "For $(b,stenso.lift/1) reports: fail unless the lift \
-             success rate is at least $(docv) (a fraction, e.g. 1.0).")
+            (Printf.sprintf
+               "For %s reports: fail unless the lift success rate is at \
+                least $(docv) (a fraction, e.g. 1.0)."
+               (for_schemas Suite.Schema.Min_success)))
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Validate a JSON report — $(b,stenso.suite-report/1), \
-          $(b,stenso.exec-bench/1), $(b,stenso.lift/1) and friends, \
-          dispatched on its schema field — and print its summary.")
+         (Printf.sprintf
+            "Validate a JSON report, dispatched on its schema field (%s), \
+             and print its summary."
+            (String.concat ", " (bold Suite.Driver.report_schemas))))
     Term.(const report_run $ file_arg $ min_speedup_arg $ min_success_arg)
 
 let serve_cmd =

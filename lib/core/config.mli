@@ -33,8 +33,8 @@ type t = {
           concrete validation (default [Exec.Options.default]) *)
   rules_depth : int option;
       (** enables the tiered fast path of {!Superopt.optimize}: consult
-          the mined rule database for this depth (rule fixpoint +
-          e-graph saturation) before entering the full search.  [None]
+          the mined rule database for this depth (e-graph saturation
+          + optima table) before entering the full search.  [None]
           (the default) preserves the classic two-step store-then-search
           behaviour. *)
 }

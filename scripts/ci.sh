@@ -36,6 +36,25 @@ dune exec --no-build bin/stenso_cli.exe -- suite \
 dune exec --no-build bin/stenso_cli.exe -- report "$report"
 echo "suite-report smoke check passed"
 
+# Archived-report check: every committed BENCH_*.json must still
+# validate against its schema, and `stenso report` must refuse an
+# unknown schema and a gate the report's format does not accept.
+for archived in BENCH_*.json; do
+  dune exec --no-build bin/stenso_cli.exe -- report "$archived"
+done
+printf '{"schema":"stenso.bogus/1"}\n' > "$scratch/bogus.json"
+if dune exec --no-build bin/stenso_cli.exe -- report "$scratch/bogus.json" \
+    2> /dev/null; then
+  echo "FAIL: report accepted an unknown schema" >&2
+  exit 1
+fi
+if dune exec --no-build bin/stenso_cli.exe -- report BENCH_tiers.json \
+    --min-success 1.0 2> /dev/null; then
+  echo "FAIL: report accepted --min-success on a non-lift report" >&2
+  exit 1
+fi
+echo "archived-report check passed"
+
 # Serve smoke check: a daemon against a fresh store directory must
 # answer the same request twice, the second time from the store
 # (cache_hit:true), and shut down cleanly on SIGTERM.  The daemon runs
