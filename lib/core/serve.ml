@@ -124,6 +124,15 @@ type handler = {
      hot spec enqueues one refinement, not one per request. *)
   refining : (string, unit) Hashtbl.t;
   refine_lock : Mutex.t;
+  (* Store keys by (model id, config fingerprint, program text as
+     sent).  The key is a pure function of those three, so a repeat
+     request skips symbolic execution and spec-key rendering and the
+     memo never needs invalidating; the store entry itself is still
+     looked up and revalidated on every request.  Bounded by the
+     store's resident capacity: reset when full. *)
+  keys : (string, string) Hashtbl.t;
+  keys_capacity : int;
+  keys_lock : Mutex.t;
 }
 
 let handler ?(tel = Tel.null) ?store ~base () =
@@ -139,9 +148,36 @@ let handler ?(tel = Tel.null) ?store ~base () =
     flight = Tnet.Single_flight.create ();
     refining = Hashtbl.create 16;
     refine_lock = Mutex.create ();
+    keys = Hashtbl.create 64;
+    keys_capacity = Option.fold ~none:0 ~some:Store.mem_capacity store;
+    keys_lock = Mutex.create ();
   }
 
 let coalesced_total h = Tnet.Single_flight.coalesced h.flight
+
+let key_memo_size h =
+  Mutex.protect h.keys_lock (fun () -> Hashtbl.length h.keys)
+
+(* The request's store key, from the memo when this exact request text
+   was keyed before under the same configuration and model; paired with
+   the program's symbolic execution when the key had to be computed. *)
+let store_key h ~config ~model ~env ~source prog =
+  let memo_key =
+    String.concat "\x00"
+      [ model.Cost.Model.name; Config.fingerprint config; source ]
+  in
+  match
+    Mutex.protect h.keys_lock (fun () -> Hashtbl.find_opt h.keys memo_key)
+  with
+  | Some key -> (None, key)
+  | None ->
+      let spec = Dsl.Sexec.exec_env env prog in
+      let key = Superopt.store_key ~config ~model ~env ~spec prog in
+      Mutex.protect h.keys_lock (fun () ->
+          if Hashtbl.length h.keys >= h.keys_capacity then
+            Hashtbl.reset h.keys;
+          Hashtbl.replace h.keys memo_key key);
+      (Some spec, key)
 
 let model_for h config =
   let name = Config.estimator_name (Config.estimator config) in
@@ -157,7 +193,7 @@ let model_for h config =
    background executor.  At most one refinement per store key is ever
    outstanding; a full background queue just drops the attempt (a later
    request for the same spec will retry). *)
-let maybe_refine h ~background ~key ~config ~model ~env ~spec prog =
+let maybe_refine h ~background ~key ~config ~model ~env ?spec prog =
   match (h.store, background) with
   | Some store, Some submit ->
       let claimed =
@@ -177,7 +213,7 @@ let maybe_refine h ~background ~key ~config ~model ~env ~spec prog =
           Fun.protect ~finally:release (fun () ->
               ignore
                 (Superopt.refine ~tel:h.tel ~config ~store
-                   ~stub_cache:h.stub_cache ~model ~spec ~env prog))
+                   ~stub_cache:h.stub_cache ~model ?spec ~env prog))
         in
         if submit job then Tel.incr h.tel "serve.refine_enqueued"
         else begin
@@ -203,16 +239,15 @@ let handle_doc ?background h doc =
             in
             outcome_json ~id ~env ~coalesced:false outcome
         | Some store ->
-            let spec = Dsl.Sexec.exec_env env prog in
-            let key = Superopt.store_key ~config ~model ~env ~spec prog in
+            let spec, key = store_key h ~config ~model ~env ~source prog in
             let outcome, coalesced =
               Tnet.Single_flight.run h.flight key (fun () ->
                   Superopt.optimize ~tel:h.tel ~config ~store
-                    ~stub_cache:h.stub_cache ~model ~spec ~env prog)
+                    ~stub_cache:h.stub_cache ~model ?spec ~key ~env prog)
             in
             if coalesced then Tel.incr h.tel "serve.coalesced";
             if not outcome.refined then
-              maybe_refine h ~background ~key ~config ~model ~env ~spec
+              maybe_refine h ~background ~key ~config ~model ~env ?spec
                 prog;
             outcome_json ~id ~env ~coalesced outcome
       with

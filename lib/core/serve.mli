@@ -58,16 +58,24 @@ val handle_line :
     With a [store], identical in-flight requests (same
     {!Superopt.store_key}) coalesce onto one synthesis — waiters get the
     leader's outcome with [coalesced:true] and bump the [serve.coalesced]
-    counter.  [background], when given, receives deferred tier-3
-    refinement jobs for unrefined answers (at most one outstanding per
-    store key; [serve.refine_enqueued] / [serve.refine_shed] counters);
-    it returns [false] to reject the job (queue full).  Omitting it —
-    as tests exercising only the request path do — disables background
-    refinement. *)
+    counter.  The store key is memoized by the program text exactly as
+    sent, the configuration fingerprint and the model id, so a repeat
+    request skips symbolic execution and spec-key rendering; its store
+    entry is still looked up and revalidated.  [background], when given,
+    receives deferred tier-3 refinement jobs for unrefined answers (at
+    most one outstanding per store key; [serve.refine_enqueued] /
+    [serve.refine_shed] counters); it returns [false] to reject the job
+    (queue full).  Omitting it — as tests exercising only the request
+    path do — disables background refinement. *)
 
 val coalesced_total : handler -> int
 (** Requests served by piggybacking on another in-flight request since
     the handler was created. *)
+
+val key_memo_size : handler -> int
+(** Store keys currently memoized by request text: never more than the
+    store's {!Store.mem_capacity} (the memo resets when full), always 0
+    without a store. *)
 
 val busy_line : string
 (** The load-shedding response. *)

@@ -414,7 +414,7 @@ let record_outcome store ~key ~env ~refined (outcome : outcome) =
     }
 
 let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
-    ?stub_cache ?model ?spec ~env prog =
+    ?stub_cache ?model ?spec ?key ~env prog =
   let model =
     match model with Some m -> m | None -> Config.model ~tel config
   in
@@ -424,17 +424,27 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
       superoptimize ~tel ~config:search_config ?stub_cache ?spec ~model ~env
         prog
   | Some store -> (
-      let spec = spec_of ~tel ?spec env prog in
-      let key = store_key ~config ~model ~env ~spec prog in
+      (* A caller-supplied key is trusted as is; the spec is then only
+         needed once tier 1 misses. *)
+      let spec = lazy (spec_of ~tel ?spec env prog) in
+      let key =
+        match key with
+        | Some k -> k
+        | None -> store_key ~config ~model ~env ~spec:(Lazy.force spec) prog
+      in
+      (* Events digest the key, which for large specs is itself costly:
+         only pay for it when a sink is listening. *)
       let serve_event ?(db_truncated = false) tier =
-        Obs.Telemetry.incr tel "tier.hit";
-        Obs.Telemetry.incr tel (Printf.sprintf "tier%d.hits" tier);
-        Obs.Telemetry.event tel "tier.serve"
-          [
-            ("tier", Obs.Telemetry.Int tier);
-            ("key", Obs.Telemetry.Str (Store.digest key));
-            ("db_truncated", Obs.Telemetry.Bool db_truncated);
-          ]
+        if Obs.Telemetry.enabled tel then begin
+          Obs.Telemetry.incr tel "tier.hit";
+          Obs.Telemetry.incr tel (Printf.sprintf "tier%d.hits" tier);
+          Obs.Telemetry.event tel "tier.serve"
+            [
+              ("tier", Obs.Telemetry.Int tier);
+              ("key", Obs.Telemetry.Str (Store.digest key));
+              ("db_truncated", Obs.Telemetry.Bool db_truncated);
+            ]
+        end
       in
       let record (outcome : outcome) =
         (* Record-after-answer.  Unverified candidates never reach the
@@ -458,14 +468,16 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
           (* Tier 1, check-before-search: served without entering
              [Search]. *)
           Obs.Telemetry.incr tel "store.hits";
-          Obs.Telemetry.event tel "store.serve"
-            [
-              ("key", Obs.Telemetry.Str (Store.digest key));
-              ("improved", Obs.Telemetry.Bool outcome.improved);
-            ];
+          if Obs.Telemetry.enabled tel then
+            Obs.Telemetry.event tel "store.serve"
+              [
+                ("key", Obs.Telemetry.Str (Store.digest key));
+                ("improved", Obs.Telemetry.Bool outcome.improved);
+              ];
           serve_event 1;
           outcome
       | None -> (
+          let spec = Lazy.force spec in
           Obs.Telemetry.incr tel "store.misses";
           let original_cost = Cost.Model.program_cost model env prog in
           let t2 =
@@ -573,11 +585,12 @@ let refine ?(tel = Obs.Telemetry.null) ?(config = Config.default) ~store
     | None -> ());
     record_outcome store ~key ~env ~refined:true outcome;
     Obs.Telemetry.incr tel "tier.refined";
-    Obs.Telemetry.event tel "tier.refine"
-      [
-        ("key", Obs.Telemetry.Str (Store.digest key));
-        ("improved", Obs.Telemetry.Bool outcome.improved);
-        ("cost_after", Obs.Telemetry.Float outcome.optimized_cost);
-      ]
+    if Obs.Telemetry.enabled tel then
+      Obs.Telemetry.event tel "tier.refine"
+        [
+          ("key", Obs.Telemetry.Str (Store.digest key));
+          ("improved", Obs.Telemetry.Bool outcome.improved);
+          ("cost_after", Obs.Telemetry.Float outcome.optimized_cost);
+        ]
   end;
   outcome

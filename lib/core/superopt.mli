@@ -78,6 +78,7 @@ val optimize :
   ?stub_cache:Stub.Cache.cache ->
   ?model:Cost.Model.t ->
   ?spec:Spec.t ->
+  ?key:string ->
   env:Dsl.Types.env ->
   Dsl.Ast.t ->
   outcome
@@ -125,7 +126,17 @@ val optimize :
 
     [spec], when the caller already symbolically executed the program
     (for example to compute the {!store_key}), skips the redundant
-    execution. *)
+    execution.
+
+    [key] (only meaningful with [store]) is trusted as this request's
+    {!store_key} instead of computing it — the caller vouches that it
+    was computed for the same program, environment, configuration and
+    model (the serve daemon memoizes it by request text).  The spec is
+    then built lazily: a tier-1 hit does no symbolic execution and no
+    {!Spec.key} rendering at all, and only a tier-1 miss (tier 2, tier
+    3 and the feedback into the rule database) executes the program,
+    unless [spec] was given too.  The store entry is revalidated on
+    every hit either way. *)
 
 val refine :
   ?tel:Obs.Telemetry.t ->

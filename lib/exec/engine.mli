@@ -35,10 +35,10 @@ val kind_name : kind -> string
 val kind_of_string : string -> kind option
 
 type compiled
-(** A planned program with its preallocated arena and scratch.
-    Mutable: concurrent {!run}s of one compiled program race — even
-    though a single run may itself fan out over many domains — so
-    callers sharing one across domains must serialize runs on it. *)
+(** A planned program with its preallocated arena and scratch.  It may
+    be shared across domains: {!run}s of one compiled program are
+    serialized on its lock, so concurrent runs queue instead of racing
+    (a single run may still fan out over many domains). *)
 
 type stats = {
   ir_nodes : int;  (** IR nodes after CSE, unrolling and folding *)

@@ -42,11 +42,10 @@
      accumulate into fixed-size blocks whose count is independent of
      the lane count, combined in ascending order.
 
-   A compiled program's arena and scratch are mutable state: concurrent
-   [run]s of the same program race even though one run may use many
-   domains internally.  Callers that share compiled programs across
-   domains must serialize runs (the measured cost model's profiling
-   lock already does). *)
+   A compiled program's arena and scratch are mutable state, so the VM
+   holds the program's [lock] for a whole run: concurrent runs of one
+   program from several domains queue instead of racing (one run may
+   still use many domains internally). *)
 
 module Ast = Dsl.Ast
 module Types = Dsl.Types
@@ -184,6 +183,7 @@ type t = {
   env : Types.env;
   opts : Opts.t;
   stats : stats;
+  lock : Mutex.t;
 }
 
 (* Strip length of the vectorized stack machine: 4 KB per scratch strip
@@ -885,4 +885,5 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
         arena_bytes;
         parallel_strips;
       };
+    lock = Mutex.create ();
   }

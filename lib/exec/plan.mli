@@ -137,6 +137,7 @@ type t = {
   env : Dsl.Types.env;
   opts : Opts.t;
   stats : stats;
+  lock : Mutex.t;  (** held for a whole run: the arena is shared state *)
 }
 
 val red_block : int

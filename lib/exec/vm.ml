@@ -1020,21 +1020,23 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
       Array.fill o 0 n (Array.unsafe_get slots.(src) sofs)
 
 let run (p : Plan.t) (lookup : string -> F.t) : F.t =
-  List.iter
-    (fun (name, slot, count) ->
-      let t = lookup name in
-      let data = F.unsafe_data t in
-      if Array.length data <> count then
-        invalid_arg
-          (Printf.sprintf "exec: input %s has %d elements, expected %d" name
-             (Array.length data) count);
-      p.Plan.slots.(slot) <- data)
-    p.Plan.inputs;
-  let steps = p.Plan.steps in
-  let opts = p.Plan.opts in
-  for i = 0 to Array.length steps - 1 do
-    exec_step opts p.Plan.slots (Array.unsafe_get steps i)
-  done;
-  let n = Shape.numel p.Plan.result_shape in
-  let rb = p.Plan.slots.(p.Plan.result_slot) in
-  F.unsafe_of_data p.Plan.result_shape (Array.sub rb p.Plan.result_ofs n)
+  Mutex.protect p.Plan.lock (fun () ->
+      List.iter
+        (fun (name, slot, count) ->
+          let t = lookup name in
+          let data = F.unsafe_data t in
+          if Array.length data <> count then
+            invalid_arg
+              (Printf.sprintf "exec: input %s has %d elements, expected %d"
+                 name (Array.length data) count);
+          p.Plan.slots.(slot) <- data)
+        p.Plan.inputs;
+      let steps = p.Plan.steps in
+      let opts = p.Plan.opts in
+      for i = 0 to Array.length steps - 1 do
+        exec_step opts p.Plan.slots (Array.unsafe_get steps i)
+      done;
+      let n = Shape.numel p.Plan.result_shape in
+      let rb = p.Plan.slots.(p.Plan.result_slot) in
+      F.unsafe_of_data p.Plan.result_shape
+        (Array.sub rb p.Plan.result_ofs n))

@@ -11,9 +11,9 @@
     accumulator chains whose grouping differs by ordinary rounding
     noise.
 
-    A compiled program's arena and per-lane scratch are mutable:
-    concurrent runs of one program race — callers sharing one across
-    domains must serialize runs on it.
+    A compiled program's arena and per-lane scratch are mutable, so
+    {!run} holds the program's lock throughout: concurrent runs of one
+    program queue instead of racing.
 
     Private to [texec]: the library exports only {!Engine}. *)
 

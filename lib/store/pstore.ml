@@ -82,6 +82,7 @@ let open_store ?(tel = Tel.null) ?(mem_capacity = 256) ~dir () =
   }
 
 let dir t = t.root
+let mem_capacity t = t.mem_capacity
 
 (* Two-level fan-out, git-object style, to keep directories small. *)
 let entry_path t key =

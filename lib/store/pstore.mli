@@ -47,6 +47,9 @@ val open_store :
 
 val dir : t -> string
 
+val mem_capacity : t -> int
+(** How many entries the in-memory LRU front holds at most. *)
+
 val entry_path : t -> string -> string
 (** Where the entry for this key lives (or would live) on disk. *)
 

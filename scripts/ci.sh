@@ -57,9 +57,10 @@ echo "archived-report check passed"
 
 # Serve smoke check: a daemon against a fresh store directory must
 # answer the same request twice, the second time from the store
-# (cache_hit:true), and shut down cleanly on SIGTERM.  The daemon runs
-# from the built binary directly so the signal reaches it, not a dune
-# wrapper.
+# (cache_hit:true), and shut down cleanly on SIGTERM.  A third, fully
+# identical request is served through the daemon's store-key memo and
+# must be byte-identical to the second.  The daemon runs from the built
+# binary directly so the signal reaches it, not a dune wrapper.
 stenso=_build/default/bin/stenso_cli.exe
 socket="$scratch/stenso.sock"
 printf 'input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))\n' \
@@ -81,6 +82,8 @@ first=$("$stenso" request \
   --socket "$socket" --program "$scratch/prog.tdsl" --id ci-1)
 second=$("$stenso" request \
   --socket "$socket" --program "$scratch/prog.tdsl" --id ci-2)
+third=$("$stenso" request \
+  --socket "$socket" --program "$scratch/prog.tdsl" --id ci-2)
 case "$first" in
   *'"ok":true'*) ;;
   *) echo "FAIL: first serve request did not succeed: $first" >&2; exit 1 ;;
@@ -90,6 +93,15 @@ case "$second" in
   *) echo "FAIL: second serve request was not a cache hit: $second" >&2
      exit 1 ;;
 esac
+case "$third" in
+  *'"cache_hit":true'*) ;;
+  *) echo "FAIL: third serve request was not a cache hit: $third" >&2
+     exit 1 ;;
+esac
+if [ "$third" != "$second" ]; then
+  echo "FAIL: memoized serve answered differently: $third vs $second" >&2
+  exit 1
+fi
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 serve_pid=""

@@ -245,7 +245,16 @@ let test_background_refinement () =
   Alcotest.(check int) "refinement deduplicated" 1 (Queue.length jobs);
   (* run the refinement exactly as a spare daemon worker would *)
   (Queue.pop jobs) ();
+  (* The request text was keyed before refinement: r2 reuses the
+     memoized store key (no spec is keyed) and still sees the upgraded
+     entry, because the entry is looked up on every request. *)
+  let builds () =
+    let b, _, _ = Spec.key_stats () in
+    b
+  in
+  let b0 = builds () in
   let r2 = parse_response (Serve.handle_line ~background h line) in
+  Alcotest.(check int) "served through the key memo" b0 (builds ());
   Alcotest.(check bool) "second ok" true (field "ok" Json.to_bool_opt r2);
   Alcotest.(check int) "served from the store" 1 (field "tier" Json.to_int_opt r2);
   Alcotest.(check bool) "now refined" true (field "refined" Json.to_bool_opt r2);
@@ -254,6 +263,100 @@ let test_background_refinement () =
   let published = Cost.Model.program_cost model b.env b.expected_opt in
   Alcotest.(check bool) "refinement closed the mismatch" true (c2 < c1);
   Alcotest.(check (float 1e-9)) "published optimum served" published c2
+
+(* {2 Shared serve state under domains} *)
+
+(* One handler, its key memo, single-flight table and store shared by
+   four domains replaying the 42 programs of the paper and ML suites:
+   every concurrent response must equal the sequential one. *)
+let test_domain_stress () =
+  let config =
+    Config.default |> Config.with_estimator `Flops |> Config.with_timeout 20.
+  in
+  let programs = Suite.Benchmarks.ml @ Suite.Benchmarks.all in
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  List.iter
+    (fun (b : Suite.Benchmarks.t) ->
+      let spec = Dsl.Sexec.exec_env b.env b.program in
+      let key =
+        Superopt.store_key ~config ~model ~env:b.env ~spec b.program
+      in
+      let original_cost = Cost.Model.program_cost model b.env b.program in
+      let optimized_cost =
+        Cost.Model.program_cost model b.env b.expected_opt
+      in
+      Store.record_outcome store ~key
+        {
+          Store.version = Version.current;
+          original = Dsl.Parser.unparse b.env b.program;
+          optimized = Dsl.Parser.unparse b.env b.expected_opt;
+          improved = optimized_cost < original_cost;
+          original_cost;
+          optimized_cost;
+          stats =
+            {
+              Search.nodes = 0;
+              decomps = 0;
+              pruned_simp = 0;
+              pruned_bnb = 0;
+              memo_hits = 0;
+              memo_misses = 0;
+              elapsed = 0.;
+              timed_out = false;
+              library_size = 0;
+            };
+          refined = true;
+        })
+    programs;
+  let h = Serve.handler ~store ~base:config () in
+  let lines =
+    Array.of_list
+      (List.mapi
+         (fun i (b : Suite.Benchmarks.t) ->
+           Json.to_string
+             (Json.Obj
+                [
+                  ("id", Json.Int i);
+                  ("program", Json.Str (Dsl.Parser.unparse b.env b.program));
+                ]))
+         programs)
+  in
+  (* Whether a request piggybacked on an identical in-flight one
+     depends on timing; everything else in the response must not. *)
+  let settled line =
+    match parse_response line with
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj (List.filter (fun (k, _) -> k <> "coalesced") fields))
+    | _ -> Alcotest.failf "response is not an object: %s" line
+  in
+  let n = Array.length lines in
+  let expected = Array.map (Serve.handle_line h) lines in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "program %d served from the store" i)
+        true
+        (field "cache_hit" Json.to_bool_opt (parse_response r)))
+    expected;
+  let expected = Array.map settled expected in
+  let rounds = 50 in
+  let mismatches = Atomic.make 0 in
+  let worker d () =
+    for round = 1 to rounds do
+      for j = 0 to n - 1 do
+        (* each domain walks the programs from its own offset *)
+        let i = (j + (d * n / 4) + round) mod n in
+        if settled (Serve.handle_line h lines.(i)) <> expected.(i) then
+          Atomic.incr mismatches
+      done
+    done
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  List.iter Domain.join domains;
+  Alcotest.(check int) "concurrent responses equal the sequential ones" 0
+    (Atomic.get mismatches);
+  Alcotest.(check int) "every program keyed once" n (Serve.key_memo_size h)
 
 (* {2 Serve-load report} *)
 
@@ -357,6 +460,8 @@ let suite =
       test_serve_response_fields;
     Alcotest.test_case "background refinement (sum_diag_dot)" `Slow
       test_background_refinement;
+    Alcotest.test_case "domains share one handler consistently" `Quick
+      test_domain_stress;
     Alcotest.test_case "classify serve response" `Quick test_classify;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "serve-load report" `Quick test_serve_load_report;

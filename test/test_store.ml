@@ -259,6 +259,85 @@ let test_handle_line () =
     (Some Version.current)
     (Option.bind (response_field second "version") Json.to_string_opt)
 
+(* The serve handler memoizes store keys by request text: a repeat does
+   no symbolic execution or spec keying, answers exactly as the full
+   path would, and the memo stays within the store's resident capacity. *)
+let test_key_memo () =
+  let capacity = 4 in
+  let dir = fresh_dir () in
+  let store = Store.open_store ~mem_capacity:capacity ~dir () in
+  let h = Serve.handler ~store ~base:config () in
+  let program =
+    "input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))"
+  in
+  let req ?config id program =
+    Json.to_string
+      (Json.Obj
+         ([ ("id", Json.Int id); ("program", Json.Str program) ]
+         @ match config with Some c -> [ ("config", c) ] | None -> []))
+  in
+  let without_id line =
+    match Json.of_string line with
+    | Ok (Json.Obj fields) ->
+        Json.to_string
+          (Json.Obj (List.filter (fun (n, _) -> n <> "id") fields))
+    | _ -> Alcotest.failf "response is not a JSON object: %s" line
+  in
+  let builds () =
+    let b, _, _ = Spec.key_stats () in
+    b
+  in
+  ignore (Serve.handle_line h (req 1 program));
+  Alcotest.(check int) "first request memoized its key" 1
+    (Serve.key_memo_size h);
+  let first_hit = Serve.handle_line h (req 2 program) in
+  Alcotest.(check (option bool)) "repeat is a store hit" (Some true)
+    (bool_field first_hit "cache_hit");
+  let b0 = builds () in
+  let second_hit = Serve.handle_line h (req 3 program) in
+  Alcotest.(check int) "memo hit builds no spec key" b0 (builds ());
+  Alcotest.(check string) "memo hit answers byte-identically"
+    (without_id first_hit) (without_id second_hit);
+  (* A handler with an empty memo takes the full path to the same
+     entry and must answer exactly as the memoized path does. *)
+  let fresh = Serve.handler ~store ~base:config () in
+  Alcotest.(check string) "full path answers identically"
+    (without_id second_hit)
+    (without_id (Serve.handle_line fresh (req 3 program)));
+  (* A per-request override changes the config fingerprint: its own
+     memo entry, its own store entry. *)
+  let shallow = Json.Obj [ ("max_depth", Json.Int 3) ] in
+  let o1 = Serve.handle_line h (req ~config:shallow 4 program) in
+  Alcotest.(check (option bool)) "override is ok" (Some true)
+    (bool_field o1 "ok");
+  Alcotest.(check (option bool)) "override misses the base entry"
+    (Some false) (bool_field o1 "cache_hit");
+  Alcotest.(check int) "override keyed separately" 2 (Serve.key_memo_size h);
+  let o2 = Serve.handle_line h (req ~config:shallow 5 program) in
+  Alcotest.(check (option bool)) "override repeat hits its own entry"
+    (Some true) (bool_field o2 "cache_hit");
+  (* Whitespace variants are distinct request texts: each takes the
+     full path once, to the same store entry, and the memo never grows
+     past the store's resident capacity. *)
+  for k = 1 to capacity + 3 do
+    let variant = program ^ String.make k '\n' in
+    let r = Serve.handle_line h (req 6 variant) in
+    Alcotest.(check (option bool))
+      (Printf.sprintf "variant %d is a store hit" k)
+      (Some true) (bool_field r "cache_hit");
+    Alcotest.(check (option string))
+      (Printf.sprintf "variant %d answers the same program" k)
+      (Option.bind (response_field first_hit "optimized") Json.to_string_opt)
+      (Option.bind (response_field r "optimized") Json.to_string_opt);
+    Alcotest.(check bool)
+      (Printf.sprintf "memo bounded after variant %d" k)
+      true
+      (Serve.key_memo_size h <= capacity)
+  done;
+  Alcotest.(check (option bool)) "a reset memo still answers from the store"
+    (Some true)
+    (bool_field (Serve.handle_line h (req 7 program)) "cache_hit")
+
 let test_busy_line () =
   Alcotest.(check (option bool)) "busy is ok:false" (Some false)
     (bool_field Serve.busy_line "ok")
@@ -376,6 +455,8 @@ let suite =
       test_optimize_invalidates_corrupt_entry;
     Alcotest.test_case "serve protocol handles good and bad lines" `Quick
       test_handle_line;
+    Alcotest.test_case "serve memoizes store keys by request text" `Quick
+      test_key_memo;
     Alcotest.test_case "busy response is well-formed" `Quick test_busy_line;
     Alcotest.test_case "spec key counters attribute per sink" `Quick
       test_spec_counters_per_sink;
